@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 verification gate, as one command:
 #   1. configure + build everything (warnings are errors via the toolchain);
-#   2. run the full ctest suite;
+#   2. run the full ctest suite, then repeat the race-prone scheduler tests;
 #   3. rebuild the concurrency-critical tests (including the trace-ring
 #      concurrency test) under ThreadSanitizer and run them.
 #
@@ -15,6 +15,17 @@ cmake --build build -j
 
 echo "=== ci: ctest ==="
 (cd build && ctest --output-on-failure -j "$(nproc)" "$@")
+
+echo "=== ci: scheduler race repeat ==="
+# The thread_manager tests that once raced (counter reset on an idle manager,
+# external wake of a suspending task, held-worker queue order), repeated so a
+# reintroduced race fails here instead of slipping through as a rare flake;
+# the timeout turns a lost wake-up (a hang) into a failure.
+timeout 600 ./build/tests/thread_manager_test \
+    --gtest_filter='*ResetCountersZeroes*:*Suspend*Wake*:*InstantaneousQueueGauges*:*PriorityRunsLast*:*HighPriorityRunsBeforeQueuedNormal*' \
+    --gtest_repeat=500 >/dev/null \
+  || { echo "scheduler race repeat: failed" >&2; exit 1; }
+echo "scheduler race repeat: 9 tests x 500 ok"
 
 echo "=== ci: graph smoke matrix ==="
 # Every task-graph pattern through both executors at tiny sizes: catches

@@ -312,7 +312,11 @@ void yield();
 
 // Suspends the current task until someone calls thread_manager::wake on it.
 // The caller must have arranged for that wake (sync primitives do). See
-// task::cancel_suspend for the full race-free protocol.
+// task::cancel_suspend for the full race-free protocol. A task must not
+// expose itself to an external waker before prepare_suspend(): a wake() that
+// finds it still `active` is dropped (task::wake), and the task then sleeps
+// with nobody left to wake it. Such a task uses prepare_suspend(), publishes
+// itself, then commit_suspend() instead of suspend().
 void suspend();
 
 // Granular suspension for synchronization primitives, whose protocol is:

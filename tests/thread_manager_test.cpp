@@ -24,6 +24,19 @@ scheduler_config test_config(int workers, const std::string& policy = "priority-
   return cfg;
 }
 
+// Occupies a worker of `tm` with a task that spins until `release` is set;
+// returns once that task is running. It must spin: a task blocked in
+// latch::wait suspends and leaves the worker free to run whatever is queued.
+void hold_worker(thread_manager& tm, std::atomic<bool>& release) {
+  std::atomic<bool> holding{false};
+  tm.spawn([&holding, &release] {
+    holding.store(true);
+    while (!release.load()) {
+    }
+  });
+  while (!holding.load()) std::this_thread::yield();
+}
+
 TEST(ThreadManager, RunsSpawnedTasks) {
   thread_manager tm(test_config(2));
   std::atomic<long> sum{0};
@@ -72,13 +85,16 @@ TEST(ThreadManager, SuspendAndExternalWake) {
   std::atomic<task*> self{nullptr};
   std::atomic<bool> resumed{false};
   tm.spawn([&] {
+    // Publish self only once the task is `suspending`: a wake() that finds
+    // it still `active` is dropped, and nobody would wake it again.
+    this_task::prepare_suspend();
     self.store(this_task::current());
-    this_task::suspend();
+    this_task::commit_suspend();
     resumed.store(true);
   });
   while (self.load() == nullptr) {
   }
-  tm.wake(self.load());  // protocol handles any interleaving
+  tm.wake(self.load());  // races the switch-away: suspending or suspended
   tm.wait_idle();
   EXPECT_TRUE(resumed.load());
 }
@@ -132,10 +148,14 @@ TEST(ThreadManager, PrioritiesAllRun) {
 TEST(ThreadManager, LowPriorityRunsLast) {
   // One worker: a low-priority task spawned first must still run after the
   // normal-priority work that arrives later (low queue is drained only when
-  // everything else is empty).
+  // everything else is empty). A spinning task holds the worker until all
+  // three are queued; unheld, it could run the low task before the normal
+  // ones arrive.
   thread_manager tm(test_config(1));
   std::vector<int> order;
   gran::latch done(3);
+  std::atomic<bool> release{false};
+  hold_worker(tm, release);
   tm.spawn(
       [&] {
         order.push_back(0);  // low
@@ -154,6 +174,7 @@ TEST(ThreadManager, LowPriorityRunsLast) {
         done.count_down();
       },
       task_priority::normal);
+  release.store(true);
   done.wait();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order.back(), 0) << "low-priority task must run after normal ones";
@@ -175,8 +196,10 @@ TEST_P(PolicyParam, SuspendWakeUnderEachPolicy) {
   std::atomic<task*> self{nullptr};
   std::atomic<bool> resumed{false};
   tm.spawn([&] {
+    // Published after prepare_suspend, as in SuspendAndExternalWake.
+    this_task::prepare_suspend();
     self.store(this_task::current());
-    this_task::suspend();
+    this_task::commit_suspend();
     resumed = true;
   });
   while (!self.load()) {
@@ -212,6 +235,9 @@ TEST(ThreadManager, ResetCountersZeroes) {
   thread_manager tm(test_config(2));
   for (int i = 0; i < 50; ++i) tm.spawn([] {});
   tm.wait_idle();
+  // Idle workers keep probing the queues (each probe a counted miss), so a
+  // zero read needs the workers joined before the reset.
+  tm.stop();
   tm.reset_counters();
   const auto totals = tm.counter_totals();
   EXPECT_EQ(totals.tasks_executed, 0u);
@@ -370,15 +396,14 @@ TEST(ThreadManager, HighPriorityQueueConfig) {
 TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
   // One worker, briefly blocked: queue normal work first, then a high-
   // priority task. The high-priority dual queue is searched first, so the
-  // high task must run before the queued normal ones.
+  // high task must run before the queued normal ones. A spinning task holds
+  // the worker (hold_worker): one blocked in latch::wait would suspend, and
+  // the worker would run the normal tasks as they arrive.
   thread_manager tm(test_config(1));
-  gran::latch gate_open(1);
+  std::atomic<bool> release{false};
   gran::latch all_done(4);
   std::vector<int> order;
-  tm.spawn([&] {
-    gate_open.wait();  // hold the single worker until everything is queued
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  hold_worker(tm, release);
   for (int i = 0; i < 3; ++i)
     tm.spawn(
         [&order, &all_done, i] {
@@ -392,7 +417,7 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
         all_done.count_down();
       },
       task_priority::high);
-  gate_open.count_down();
+  release.store(true);
   all_done.wait();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order.front(), 100) << "high-priority task must run first";
@@ -418,16 +443,17 @@ TEST(ThreadManager, GranWorkersEnvDefault) {
 TEST(ThreadManager, InstantaneousQueueGauges) {
   thread_manager tm(test_config(1));
   auto& reg = perf::registry::instance();
-  // Block the single worker, then queue work and observe the gauges.
-  gran::latch gate(1);
-  tm.spawn([&gate] { gate.wait(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Hold the single worker with a spinning task (hold_worker), then queue
+  // work and observe the gauges. A task blocked in latch::wait would suspend
+  // and leave the worker free to drain the queue before the gauges are read.
+  std::atomic<bool> release{false};
+  hold_worker(tm, release);
   for (int i = 0; i < 10; ++i) tm.spawn([] {});
   const double queued =
       reg.value_or("/threads/count/instantaneous/pending", 0) +
       reg.value_or("/threads/count/instantaneous/staged", 0);
   EXPECT_GE(queued, 10.0);
-  gate.count_down();
+  release.store(true);
   tm.wait_idle();
   EXPECT_EQ(reg.value_or("/threads/count/instantaneous/alive", -1), 0.0);
 }
