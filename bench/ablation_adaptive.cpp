@@ -1,25 +1,25 @@
 // Ablation: closed-loop granularity against the fixed-grain sweep — the
 // paper's stated end goal ("dynamically adapting task size to optimize
-// parallel performance"), three ways:
+// parallel performance"), two ways:
 //
-//   best-fixed      the winner of a log-spaced static chunk sweep (Fig. 3's
-//                   oracle: pick the grain after seeing the whole curve)
-//   adaptive_chunk  the wave-at-a-time idle-rate tuner (core/tuner.hpp),
-//                   started deliberately too fine
-//   lazy_chunk      demand-driven lazy splitting (core/split_controller.hpp
-//                   + algo/splittable.hpp) — no grain parameter at all
+//   best-fixed  the winner of a log-spaced static chunk sweep (Fig. 3's
+//               oracle: pick the grain after seeing the whole curve)
+//   lazy_chunk  demand-driven lazy splitting (core/split_controller.hpp +
+//               algo/splittable.hpp) — no grain parameter at all
 //
 // Run native (this host's runtime), simulated (sim/split_sim.hpp, the same
 // sweep in deterministic virtual time), or both. The acceptance gate
 // (--check) requires lazy_chunk to reach --ratio (default 0.9) of the best
 // fixed grain's throughput for every kernel/mode cell — the controller must
-// land near the sweet spot *without being told the grain*.
+// land near the sweet spot *without being told the grain* — and fails when
+// the run produced no such cell (a filtered run that gates nothing).
 //
 //   $ ./ablation_adaptive --items=1000000 --samples=3 --mode=both
 //   $ ./ablation_adaptive --check --ratio=0.9 --json=results/BENCH_adaptive.json
 //
 // Flags: --items, --workers, --samples, --item-ns (target per-item cost),
 // --mode=native|sim|both, --kernel=busy_spin|memory_stream|both,
+// --strategy=all|fixed|lazy (native leg only; the gate needs all),
 // --sim-cores (simulated core count, independent of native --workers),
 // --sim-imbalance (per-task cost spread in the simulator), --platform,
 // --json=PATH, --check, --ratio.
@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -48,7 +49,7 @@ namespace {
 struct cell {
   std::string mode;      // "native" | "sim"
   std::string kernel;    // "busy_spin" | "memory_stream"
-  std::string strategy;  // "fixed" | "adaptive" | "lazy"
+  std::string strategy;  // "fixed" | "lazy"
   std::uint64_t chunk = 0;        // fixed: the swept chunk; lazy: 0
   double time_med_s = 0.0;
   double items_per_s = 0.0;
@@ -61,8 +62,8 @@ struct cell {
 struct gate_row {
   std::string mode, kernel;
   std::uint64_t best_chunk = 0;
-  double best_fixed_s = 0, adaptive_s = 0, lazy_s = 0;
-  double lazy_vs_best = 0, adaptive_vs_best = 0;
+  double best_fixed_s = 0, lazy_s = 0;
+  double lazy_vs_best = 0;
 };
 
 // Per-item native kernels, each ~item_ns of work. Both write a result the
@@ -130,6 +131,20 @@ int main(int argc, char** argv) {
   const bool check = args.has("check");
   const double ratio_gate = args.get_double("ratio", 0.9);
 
+  const auto one_of = [](const char* flag, const std::string& value,
+                         std::initializer_list<const char*> allowed) {
+    for (const char* a : allowed)
+      if (value == a) return true;
+    std::cerr << "ablation_adaptive: unknown --" << flag << "=" << value << " (expected";
+    for (const char* a : allowed) std::cerr << " " << a;
+    std::cerr << ")\n";
+    return false;
+  };
+  if (!one_of("mode", mode, {"native", "sim", "both"}) ||
+      !one_of("kernel", kernel_filter, {"busy_spin", "memory_stream", "both"}) ||
+      !one_of("strategy", strategy_filter, {"all", "fixed", "lazy"}))
+    return 2;
+
   const bool run_native = mode == "native" || mode == "both";
   const bool run_sim = mode == "sim" || mode == "both";
   const bool run_spin = kernel_filter == "busy_spin" || kernel_filter == "both";
@@ -139,7 +154,7 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   std::vector<gate_row> gates;
 
-  std::cout << "Ablation: best-fixed vs adaptive_chunk vs lazy_chunk ("
+  std::cout << "Ablation: best-fixed vs lazy_chunk ("
             << items << " items, ~" << item_ns << " ns/item, " << workers
             << " workers, median of " << samples << ")\n";
 
@@ -176,9 +191,6 @@ int main(int argc, char** argv) {
         for (const std::uint64_t chunk : sweep_chunks(items, workers))
           runs.push_back({algo::static_chunk{static_cast<std::size_t>(chunk)},
                           cell{"native", kname, "fixed", chunk}});
-      if (strategy_filter == "all" || strategy_filter == "adaptive")
-        runs.push_back(
-            {algo::adaptive_chunk{.initial = 16}, cell{"native", kname, "adaptive"}});
       if (strategy_filter == "all" || strategy_filter == "lazy")
         runs.push_back({algo::lazy_chunk{}, cell{"native", kname, "lazy"}});
 
@@ -207,15 +219,12 @@ int main(int argc, char** argv) {
           g.best_fixed_s = c.time_med_s;
           g.best_chunk = c.chunk;
         }
-        if (c.strategy == "adaptive") g.adaptive_s = c.time_med_s;
         if (c.strategy == "lazy") g.lazy_s = c.time_med_s;
         cells.push_back(c);
       }
       // The gate needs both sides; strategy-filtered runs just print cells.
       if (want_fixed && g.lazy_s > 0) {
         g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
-        g.adaptive_vs_best =
-            g.adaptive_s > 0 ? g.best_fixed_s / g.adaptive_s : 0.0;
         gates.push_back(g);
       }
     }
@@ -268,7 +277,6 @@ int main(int argc, char** argv) {
                          r.splits, r.split_denied});
         g.lazy_s = r.makespan_s;
       }
-      g.adaptive_s = 0;  // the wave tuner has no simulator counterpart
       g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
       gates.push_back(g);
     }
@@ -293,11 +301,7 @@ int main(int argc, char** argv) {
     std::cout << g.mode << "/" << g.kernel << ": best fixed chunk "
               << g.best_chunk << " at " << format_number(g.best_fixed_s, 5)
               << " s; lazy " << format_number(g.lazy_s, 5) << " s ("
-              << format_number(g.lazy_vs_best * 100, 1) << "% of best)";
-    if (g.adaptive_s > 0)
-      std::cout << "; adaptive " << format_number(g.adaptive_s, 5) << " s ("
-                << format_number(g.adaptive_vs_best * 100, 1) << "%)";
-    std::cout << "\n";
+              << format_number(g.lazy_vs_best * 100, 1) << "% of best)\n";
     if (g.lazy_vs_best < ratio_gate) pass = false;
   }
 
@@ -325,9 +329,7 @@ int main(int argc, char** argv) {
       f << "    {\"mode\": \"" << g.mode << "\", \"kernel\": \"" << g.kernel
         << "\", \"best_fixed_chunk\": " << g.best_chunk
         << ", \"best_fixed_s\": " << g.best_fixed_s
-        << ", \"adaptive_s\": " << g.adaptive_s << ", \"lazy_s\": " << g.lazy_s
-        << ", \"lazy_vs_best\": " << g.lazy_vs_best
-        << ", \"adaptive_vs_best\": " << g.adaptive_vs_best
+        << ", \"lazy_s\": " << g.lazy_s << ", \"lazy_vs_best\": " << g.lazy_vs_best
         << ", \"pass\": " << (g.lazy_vs_best >= ratio_gate ? "true" : "false")
         << "}" << (i + 1 < gates.size() ? "," : "") << "\n";
     }
@@ -335,6 +337,11 @@ int main(int argc, char** argv) {
     std::cout << "(json written to " << json << ")\n";
   }
 
+  if (check && gates.empty()) {
+    std::cout << "FAIL: --check gated nothing (the run produced no "
+                 "best-fixed vs lazy cell; --strategy must be all)\n";
+    return 1;
+  }
   if (check && !pass) {
     std::cout << "FAIL: lazy_chunk below " << format_number(ratio_gate * 100, 0)
               << "% of best fixed grain\n";

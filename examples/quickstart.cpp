@@ -63,8 +63,8 @@ int main() {
   std::printf("counter under cooperative mutex: %ld\n", counter);
 
   // 7. Introspection: every runtime metric is a named counter, queryable
-  //    while the application runs (this is what the paper's adaptive
-  //    grain-size control builds on).
+  //    while the application runs. The lazy splitter (algo::lazy_chunk)
+  //    adapts grain size online from the same idle-rate totals.
   auto& registry = perf::registry::instance();
   std::printf("tasks executed:   %.0f\n",
               registry.value_or("/threads/count/cumulative", 0));

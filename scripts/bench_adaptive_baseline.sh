@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Records the closed-loop granularity baseline (best-fixed sweep vs
-# adaptive_chunk vs lazy_chunk) into results/BENCH_adaptive.json, building the
-# bench if needed. The --check gate fails the script when lazy_chunk lands
-# below 90% of the best fixed grain's throughput in any mode/kernel cell —
+# lazy_chunk, native and simulated) into results/BENCH_adaptive.json and
+# results/ablation_adaptive.txt, building the bench if needed. The --check
+# gate fails the script when lazy_chunk lands below 90% of the best fixed
+# grain's throughput in any mode/kernel cell, or when no cell was gated —
 # the controller must find the sweet spot without being told the grain.
+# The native leg uses one worker per CPU, up to 4; the checked-in baseline
+# comes from a 4-CPU host (workers=4), the sim leg models 4 cores anywhere.
 #
 #   scripts/bench_adaptive_baseline.sh [--items=N] [--samples=N] [--ratio=R] ...
 # Extra args go to ablation_adaptive.

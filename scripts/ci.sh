@@ -100,15 +100,24 @@ echo "topology smoke: quick + GRAN_PIN={compact,scatter} ok"
 
 echo "=== ci: lazy-split smoke ==="
 # A quick Fig. 3-style grain sweep with the closed-loop splitter in the ring,
-# native and simulated. No throughput gate at CI sizes (the full gated run is
-# scripts/bench_adaptive_baseline.sh); this catches wiring regressions —
-# lazy_chunk must run to completion in both modes and the sim must split.
+# native and simulated. The native leg is ungated at CI sizes (the full gated
+# run is scripts/bench_adaptive_baseline.sh) and only catches wiring
+# regressions. The sim leg runs in deterministic virtual time, so it is gated
+# at CI size: lazy_chunk must reach 90% of the best fixed grain. A --check
+# run that gates no cell must fail rather than pass vacuously.
 ./build/bench/ablation_adaptive --items=100000 --samples=1 --mode=native \
     >/dev/null
-./build/bench/ablation_adaptive --items=100000 --samples=1 --mode=sim \
-    | grep -q 'sim/busy_spin' \
+./build/bench/ablation_adaptive --items=100000 --mode=sim --check \
+    --ratio=0.9 > "$trace_tmp/lazy_sim.txt" \
+  || { echo "lazy-split smoke: sim gate failed" >&2; \
+       cat "$trace_tmp/lazy_sim.txt" >&2; exit 1; }
+grep -q 'sim/busy_spin' "$trace_tmp/lazy_sim.txt" \
   || { echo "lazy-split smoke: sim leg missing" >&2; exit 1; }
-echo "lazy-split smoke: native + sim ok"
+if ./build/bench/ablation_adaptive --items=10000 --samples=1 --mode=native \
+    --strategy=lazy --check >/dev/null; then
+  echo "lazy-split smoke: --check with no gated cell passed" >&2; exit 1
+fi
+echo "lazy-split smoke: native + gated sim + empty-gate check ok"
 
 echo "=== ci: service smoke ==="
 # Task-service ingress end to end, sized for 1-CPU runners: a short open-loop
